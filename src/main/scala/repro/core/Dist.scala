@@ -34,17 +34,22 @@ object Dist {
   }
 
   /** Squared ED between `q` and the series stored at `flat[off, off+len)`,
-    * early-abandoning against `bound`.
+    * early-abandoning against `bound` after every full 16-point block. Sums
+    * in the same order as [[ed2]], so a result that is not abandoned equals
+    * it bit for bit.
     */
   def ed2Flat(q: Array[Float], flat: Array[Float], off: Int, bound: Double): Double = {
+    val n = q.length
+    val blocked = n - n % 16
     var i = 0
     var acc = 0.0
-    val n = q.length
-    while (i < n) {
-      val lim = math.min(i + 16, n)
-      while (i < lim) { val d = q(i).toDouble - flat(off + i); acc += d * d; i += 1 }
+    while (i < blocked) {
+      var j = 0
+      while (j < 16) { val d = q(i + j).toDouble - flat(off + i + j); acc += d * d; j += 1 }
+      i += 16
       if (acc > bound) return acc
     }
+    while (i < n) { val d = q(i).toDouble - flat(off + i); acc += d * d; i += 1 }
     acc
   }
 }

@@ -18,23 +18,96 @@ object SplitPolicy {
   /** Pick the best split for a full leaf, or None when the leaf's series are
     * indistinguishable under every candidate statistic (the leaf is then
     * allowed to exceed capacity instead of splitting forever).
+    *
+    * Candidates are tried per segment in a fixed order (H on μ, H on σ, then
+    * the V-split's left half on μ and σ, its right half on μ and σ); a later
+    * candidate wins only with a strictly larger gain.
     */
   def choose(node: Node, series: IndexedSeq[Array[Float]]): Option[SplitInfo] = {
-    val ctxs = series.map(new SeriesCtx(_))
-    val rho = series.length
+    val search = new SplitSearch(series)
+    val h = search.segmentation(node.ends)
+    var seg = 0
+    while (seg < node.segCount) {
+      val st = node.segStart(seg)
+      val en = node.ends(seg)
+      search.consider(h, vertical = false, seg, useSd = false)
+      search.consider(h, vertical = false, seg, useSd = true)
+      if (en - st >= 2) {
+        val mid = (st + en) / 2
+        val vEnds = (node.ends.take(seg) :+ mid) ++ node.ends.drop(seg)
+        val v = search.halve(h, seg, vEnds)
+        search.consider(v, vertical = true, seg, useSd = false)
+        search.consider(v, vertical = true, seg, useSd = true)
+        search.consider(v, vertical = true, seg + 1, useSd = false)
+        search.consider(v, vertical = true, seg + 1, useSd = true)
+      }
+      seg += 1
+    }
+    Option(search.best)
+  }
 
+  /** One candidate segmentation: its endpoints, one μ and one σ column per
+    * segment (indexed by series), and the undivided node's QoS on it.
+    */
+  private final class Segmentation(val ends: Array[Int], val mu: Array[Array[Double]],
+                                   val sd: Array[Array[Double]]) {
+    var before: Double = 0.0
+  }
+
+  /** State of one `choose` call: per-series prefix sums, the routing stats
+    * of the current candidate, and the best candidate so far.
+    */
+  private final class SplitSearch(series: IndexedSeq[Array[Float]]) {
+    private val rho = series.length
+    private val ctxs = series.iterator.map(new SeriesCtx(_)).toArray
+    private val stats = new Array[Double](rho)
+    // Series indices, left child's first; both sides in ascending order.
+    private val order = new Array[Int](rho)
+    private val all = Array.range(0, rho)
+    private var qosLeft = 0.0
+    private var qosRight = 0.0
     var best: SplitInfo = null
-    var bestGain = Double.NegativeInfinity
+    private var bestGain = Double.NegativeInfinity
 
-    def consider(vertical: Boolean, childEnds: Array[Int], routeSeg: Int, useSd: Boolean): Unit = {
-      val from = if (routeSeg == 0) 0 else childEnds(routeSeg - 1)
-      val until = childEnds(routeSeg)
-      val stats = new Array[Double](rho)
+    /** The μ/σ columns of `ends` and its node-wide QoS. */
+    def segmentation(ends: Array[Int]): Segmentation = {
+      val cols = Array.tabulate(ends.length)(j => column(if (j == 0) 0 else ends(j - 1), ends(j)))
+      withBefore(new Segmentation(ends, cols.map(_._1), cols.map(_._2)))
+    }
+
+    /** `h` with segment `seg` halved (endpoints `vEnds`): shares every other
+      * column with `h` and computes only the two halves.
+      */
+    def halve(h: Segmentation, seg: Int, vEnds: Array[Int]): Segmentation = {
+      val (lMu, lSd) = column(if (seg == 0) 0 else vEnds(seg - 1), vEnds(seg))
+      val (rMu, rSd) = column(vEnds(seg), vEnds(seg + 1))
+      def spliced(cols: Array[Array[Double]], l: Array[Double], r: Array[Double]) =
+        (cols.take(seg) :+ l :+ r) ++ cols.drop(seg + 1)
+      withBefore(new Segmentation(vEnds, spliced(h.mu, lMu, rMu), spliced(h.sd, lSd, rSd)))
+    }
+
+    private def column(from: Int, until: Int): (Array[Double], Array[Double]) = {
+      val mu = new Array[Double](rho)
+      val sd = new Array[Double](rho)
+      var i = 0
+      while (i < rho) { mu(i) = ctxs(i).mean(from, until); sd(i) = ctxs(i).sd(from, until); i += 1 }
+      (mu, sd)
+    }
+
+    private def withBefore(s: Segmentation): Segmentation = {
+      childrenQos(s, all, 0) // the whole node as one "right" child
+      s.before = qosRight
+      s
+    }
+
+    /** Evaluate splitting on segment `routeSeg` of `s` by μ (or σ). */
+    def consider(s: Segmentation, vertical: Boolean, routeSeg: Int, useSd: Boolean): Unit = {
+      val col = if (useSd) s.sd(routeSeg) else s.mu(routeSeg)
       var i = 0
       var mn = Double.PositiveInfinity
       var mx = Double.NegativeInfinity
       while (i < rho) {
-        val v = if (useSd) ctxs(i).sd(from, until) else ctxs(i).mean(from, until)
+        val v = col(i)
         stats(i) = v
         if (v < mn) mn = v
         if (v > mx) mx = v
@@ -50,87 +123,79 @@ object SplitPolicy {
         value = distinct(1)
         leftCnt = stats.count(_ < value)
       }
-      val gain = qosGain(ctxs, stats, value, childEnds, leftCnt, rho - leftCnt)
+      // QoS gain: the node's QoS on this segmentation minus the
+      // count-weighted children QoS. Positive = tighter synopsis ranges.
+      var l = 0
+      var r = leftCnt
+      i = 0
+      while (i < rho) {
+        if (stats(i) < value) { order(l) = i; l += 1 } else { order(r) = i; r += 1 }
+        i += 1
+      }
+      childrenQos(s, order, leftCnt)
+      val after = leftCnt.toDouble / rho * qosLeft + (rho - leftCnt).toDouble / rho * qosRight
+      val gain = s.before - after
       if (gain > bestGain) {
         bestGain = gain
-        best = SplitInfo(vertical, childEnds, routeSeg, useSd, value)
+        best = SplitInfo(vertical, s.ends, routeSeg, useSd, value)
       }
     }
 
-    var seg = 0
-    while (seg < node.segCount) {
-      val st = node.segStart(seg)
-      val en = node.ends(seg)
-      consider(vertical = false, node.ends, seg, useSd = false)
-      consider(vertical = false, node.ends, seg, useSd = true)
-      if (en - st >= 2) {
-        val mid = (st + en) / 2
-        val vEnds = (node.ends.take(seg) :+ mid) ++ node.ends.drop(seg)
-        consider(vertical = true, vEnds, seg, useSd = false)
-        consider(vertical = true, vEnds, seg, useSd = true)
-        consider(vertical = true, vEnds, seg + 1, useSd = false)
-        consider(vertical = true, vEnds, seg + 1, useSd = true)
-      }
-      seg += 1
-    }
-    Option(best)
-  }
-
-  /** QoS gain of one candidate: the node's QoS on the candidate's child
-    * segmentation minus the count-weighted children QoS (same segmentation).
-    * Positive gain = the split tightens the synopsis ranges.
-    */
-  private def qosGain(ctxs: IndexedSeq[SeriesCtx], stats: Array[Double], value: Double,
-                      childEnds: Array[Int], leftCnt: Int, rightCnt: Int): Double = {
-    val m = childEnds.length
-    // accumulators 0=left, 1=right, 2=whole node; rows: muMin,muMax,sdMin,sdMax
-    val acc = Array.fill(3)(Array.fill(4, m)(0.0))
-    acc.foreach { a =>
-      java.util.Arrays.fill(a(0), Double.PositiveInfinity)
-      java.util.Arrays.fill(a(1), Double.NegativeInfinity)
-      java.util.Arrays.fill(a(2), Double.PositiveInfinity)
-      java.util.Arrays.fill(a(3), Double.NegativeInfinity)
-    }
-    var i = 0
-    while (i < ctxs.length) {
-      val side = if (stats(i) < value) 0 else 1
+    /** QoS of the left (`ord[0, nLeft)`) and right (the rest) children on
+      * `s`: over the segments where a side has members,
+      * Σ `len · (μ range² + σ range²)`. One pass per segment fills both
+      * children's min/max accumulators.
+      */
+    private def childrenQos(s: Segmentation, ord: Array[Int], nLeft: Int): Unit = {
+      var qL = 0.0
+      var qR = 0.0
       var j = 0
-      while (j < m) {
-        val from = if (j == 0) 0 else childEnds(j - 1)
-        val until = childEnds(j)
-        val mu = ctxs(i).mean(from, until)
-        val sd = ctxs(i).sd(from, until)
-        var g = 0
-        while (g < 2) {
-          val a = if (g == 0) acc(side) else acc(2)
-          if (mu < a(0)(j)) a(0)(j) = mu
-          if (mu > a(1)(j)) a(1)(j) = mu
-          if (sd < a(2)(j)) a(2)(j) = sd
-          if (sd > a(3)(j)) a(3)(j) = sd
-          g += 1
+      while (j < s.ends.length) {
+        val mu = s.mu(j)
+        val sd = s.sd(j)
+        var muMinL = Double.PositiveInfinity
+        var muMaxL = Double.NegativeInfinity
+        var sdMinL = Double.PositiveInfinity
+        var sdMaxL = Double.NegativeInfinity
+        var muMinR = Double.PositiveInfinity
+        var muMaxR = Double.NegativeInfinity
+        var sdMinR = Double.PositiveInfinity
+        var sdMaxR = Double.NegativeInfinity
+        var k = 0
+        while (k < nLeft) {
+          val m = mu(ord(k))
+          val d = sd(ord(k))
+          if (m < muMinL) muMinL = m
+          if (m > muMaxL) muMaxL = m
+          if (d < sdMinL) sdMinL = d
+          if (d > sdMaxL) sdMaxL = d
+          k += 1
+        }
+        while (k < rho) {
+          val m = mu(ord(k))
+          val d = sd(ord(k))
+          if (m < muMinR) muMinR = m
+          if (m > muMaxR) muMaxR = m
+          if (d < sdMinR) sdMinR = d
+          if (d > sdMaxR) sdMaxR = d
+          k += 1
+        }
+        val len = s.ends(j) - (if (j == 0) 0 else s.ends(j - 1))
+        if (!muMinL.isPosInfinity) {
+          val dm = muMaxL - muMinL
+          val ds = sdMaxL - sdMinL
+          qL += len * (dm * dm + ds * ds)
+        }
+        if (!muMinR.isPosInfinity) {
+          val dm = muMaxR - muMinR
+          val ds = sdMaxR - sdMinR
+          qR += len * (dm * dm + ds * ds)
         }
         j += 1
       }
-      i += 1
+      qosLeft = qL
+      qosRight = qR
     }
-    def qos(a: Array[Array[Double]]): Double = {
-      var j = 0
-      var q = 0.0
-      while (j < m) {
-        if (!a(0)(j).isPosInfinity) {
-          val len = childEnds(j) - (if (j == 0) 0 else childEnds(j - 1))
-          val dm = a(1)(j) - a(0)(j)
-          val ds = a(3)(j) - a(2)(j)
-          q += len * (dm * dm + ds * ds)
-        }
-        j += 1
-      }
-      q
-    }
-    val before = qos(acc(2))
-    val after = leftCnt.toDouble / ctxs.length * qos(acc(0)) +
-      rightCnt.toDouble / ctxs.length * qos(acc(1))
-    before - after
   }
 }
 
@@ -219,41 +284,29 @@ final class HerculesTree(val cfg: IndexConfig) extends Serializable {
   private def splitLeaf(leaf: Node, store: SeriesStore): Unit = {
     val spilled = store.readSpill(leaf)
     val memSlots = leaf.slots
-    val allSeries: IndexedSeq[Array[Float]] =
-      (spilled.map(_._2) ++ memSlots.map(store.seriesAt)).toIndexedSeq
-    SplitPolicy.choose(leaf, allSeries) match {
+    val memSeries = memSlots.map(store.seriesAt)
+    SplitPolicy.choose(leaf, (spilled.map(_._2) ++ memSeries).toIndexedSeq) match {
       case None => // indistinguishable contents: tolerate an oversized leaf
       case Some(policy) =>
         val l = newNode(policy.childEnds)
         val r = newNode(policy.childEnds)
         l.parent = leaf
         r.parent = leaf
-        // Spilled records stream to the children's spill files.
-        if (spilled.nonEmpty) {
-          val outs = Array(l, r).map { c =>
-            new java.io.DataOutputStream(new java.io.BufferedOutputStream(
-              new java.io.FileOutputStream(store.spillPathFor(c).toFile, true)))
-          }
-          try {
-            spilled.foreach { case (sid, sv) =>
-              val side = if (policy.goesLeft(sv)) 0 else 1
-              val child = if (side == 0) l else r
-              outs(side).writeLong(sid)
-              var i = 0
-              while (i < sv.length) { outs(side).writeFloat(sv(i)); i += 1 }
-              child.spilledCount += 1
-              child.updateSynopsis(sv)
-              child.count += 1
-            }
-          } finally outs.foreach(_.close())
+        // Spilled records move to the children's spill files, in order.
+        val (toL, toR) = spilled.partition { case (_, sv) => policy.goesLeft(sv) }
+        for ((child, records) <- Seq(l -> toL, r -> toR) if records.nonEmpty) {
+          store.appendSpill(child, records)
+          records.foreach { case (_, sv) => child.updateSynopsis(sv); child.count += 1 }
         }
         // In-memory slots keep their HBuffer place; only SBuffer pointers move.
-        memSlots.foreach { slot =>
-          val sv = store.seriesAt(slot)
+        var k = 0
+        while (k < memSlots.length) {
+          val sv = memSeries(k)
           val child = if (policy.goesLeft(sv)) l else r
-          child.slots += slot
+          child.slots += memSlots(k)
           child.updateSynopsis(sv)
           child.count += 1
+          k += 1
         }
         store.dropSpill(leaf)
         leaf.slots = null

@@ -24,9 +24,16 @@ object IndexWriter {
     * @param updateSynopses  false when internal synopses were maintained
     *                        during inserts (Sequential/PathLocked modes)
     * @param threads         WriteIndexWorker count (1 = NoWPara ablation)
+    *
+    * The store's spill directory is deleted when writing ends, also on failure.
     */
   def write(tree: HerculesTree, store: SeriesStore, computeSax: Boolean = true,
-            updateSynopses: Boolean = true, threads: Int = 1): HerculesIndex = {
+            updateSynopses: Boolean = true, threads: Int = 1): HerculesIndex =
+    try materialize(tree, store, computeSax, updateSynopses, threads)
+    finally store.release()
+
+  private def materialize(tree: HerculesTree, store: SeriesStore, computeSax: Boolean,
+                          updateSynopses: Boolean, threads: Int): HerculesIndex = {
     val cfg = tree.cfg
     val len = cfg.seriesLength
     val leaves = tree.root.leavesInorder

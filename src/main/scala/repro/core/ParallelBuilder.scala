@@ -47,7 +47,15 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
     val dbSize = math.max(1, math.min(cfg.dbSize, math.max(1, n)))
     val totalSlots = if (cfg.hbufferSlots > 0) cfg.hbufferSlots else n + dbSize
     val store = SeriesStore.create(cfg.seriesLength, workers, totalSlots, dbSize)
+    try insertAll(tree, store, ids, data, workers, dbSize)
+    catch { case e: Throwable => store.release(); throw e }
+    (tree, store)
+  }
 
+  /** Insert every series; on failure the caller releases the store. */
+  private def insertAll(tree: HerculesTree, store: SeriesStore, ids: Array[Long],
+                        data: Array[Array[Float]], workers: Int, dbSize: Int): Unit = {
+    val n = data.length
     if (workers == 1) {
       var i = 0
       while (i < n) {
@@ -58,7 +66,7 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
         }
         i += 1
       }
-      return (tree, store)
+      return
     }
 
     // Shared chunk state; published across rounds by the barrier.
@@ -139,6 +147,5 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
     }
     threads.foreach(_.join())
     if (failure != null) throw failure
-    (tree, store)
   }
 }

@@ -1,7 +1,8 @@
 package repro.core
 
-import java.io.{BufferedOutputStream, DataInputStream, DataOutputStream, FileInputStream, FileOutputStream}
-import java.nio.file.{Files, Path}
+import java.io.IOException
+import java.nio.ByteBuffer
+import java.nio.file.{Files, NoSuchFileException, Path, StandardOpenOption}
 import scala.collection.mutable.ArrayBuffer
 
 /** The HBuffer of §3.3: one pre-allocated flat float buffer holding the raw
@@ -13,14 +14,20 @@ import scala.collection.mutable.ArrayBuffer
   * Allocation is region-local (no synchronization); cross-thread visibility
   * of written floats is provided by the leaf lock under which slots are
   * published (writer stores floats, then adds the slot under the lock).
+  *
+  * A spill file holds records of a big-endian id followed by the series'
+  * big-endian floats; each leaf's file is read and written in one call. The
+  * spill directory is created on the first flush and removed by [[release]].
   */
 final class SeriesStore(
     val seriesLen: Int,
     val numWorkers: Int,
     val regionSlots: Int,
-    spillRoot: Path,
 ) {
   require(regionSlots >= 1)
+
+  private val recordBytes = 8 + 4 * seriesLen
+  private var dir: Path = _
 
   private val flat = new Array[Float](numWorkers * regionSlots * seriesLen)
   private val slotIds = new Array[Long](numWorkers * regionSlots)
@@ -70,46 +77,77 @@ final class SeriesStore(
   def flushAll(root: Node): Unit = {
     root.leavesInorder.foreach { leaf =>
       if (leaf.slots != null && leaf.slots.nonEmpty) {
-        val out = new DataOutputStream(new BufferedOutputStream(
-          new FileOutputStream(spillPathFor(leaf).toFile, true)))
-        try {
+        append(leaf, leaf.slots.length) { buf =>
           leaf.slots.foreach { slot =>
-            out.writeLong(slotIds(slot))
+            buf.putLong(slotIds(slot))
             val off = slot * seriesLen
             var i = 0
-            while (i < seriesLen) { out.writeFloat(flat(off + i)); i += 1 }
+            while (i < seriesLen) { buf.putFloat(flat(off + i)); i += 1 }
           }
-        } finally out.close()
-        leaf.spilledCount += leaf.slots.size
+        }
         leaf.slots.clear()
       }
     }
     java.util.Arrays.fill(used, 0)
   }
 
-  /** The spill file of a leaf (created lazily on first flush). */
-  def spillPathFor(leaf: Node): Path = {
-    if (leaf.spillFile == null) leaf.spillFile = spillRoot.resolve(s"leaf-${leaf.id}.bin")
+  /** Append `records` to the leaf's spill file, in order. */
+  def appendSpill(leaf: Node, records: collection.Seq[(Long, Array[Float])]): Unit =
+    append(leaf, records.length) { buf =>
+      records.foreach { case (id, s) =>
+        buf.putLong(id)
+        var i = 0
+        while (i < seriesLen) { buf.putFloat(s(i)); i += 1 }
+      }
+    }
+
+  private def append(leaf: Node, n: Int)(put: ByteBuffer => Unit): Unit = {
+    val buf = ByteBuffer.allocate(n * recordBytes)
+    put(buf)
+    Files.write(spillPathFor(leaf), buf.array(), StandardOpenOption.CREATE, StandardOpenOption.APPEND)
+    leaf.spilledCount += n
+  }
+
+  /** The spill file of a leaf (the directory is created on first use). */
+  private def spillPathFor(leaf: Node): Path = {
+    if (leaf.spillFile == null) leaf.spillFile = spillDir.resolve(s"leaf-${leaf.id}.bin")
     leaf.spillFile
   }
 
-  /** Read a leaf's spilled records (id, series) in append order. */
+  /** The spill directory, created on first use; splits of different leaves
+    * may ask for it concurrently.
+    */
+  private def spillDir: Path = synchronized {
+    if (dir == null) dir = Files.createTempDirectory("hercules-spill-")
+    dir
+  }
+
+  /** Read a leaf's spilled records (id, series) in append order.
+    *
+    * @throws IOException when the spill file is missing or its size does not
+    *                     match the leaf's spilled record count
+    */
   def readSpill(leaf: Node): ArrayBuffer[(Long, Array[Float])] = {
     val out = new ArrayBuffer[(Long, Array[Float])](leaf.spilledCount)
-    if (leaf.spilledCount > 0 && leaf.spillFile != null && Files.exists(leaf.spillFile)) {
-      val in = new DataInputStream(new java.io.BufferedInputStream(
-        new FileInputStream(leaf.spillFile.toFile)))
-      try {
-        var r = 0
-        while (r < leaf.spilledCount) {
-          val id = in.readLong()
-          val s = new Array[Float](seriesLen)
-          var i = 0
-          while (i < seriesLen) { s(i) = in.readFloat(); i += 1 }
-          out += ((id, s))
-          r += 1
-        }
-      } finally in.close()
+    if (leaf.spilledCount > 0) {
+      val path = spillPathFor(leaf)
+      val expected = leaf.spilledCount.toLong * recordBytes
+      val bytes = try Files.readAllBytes(path) catch { case _: NoSuchFileException => null }
+      if (bytes == null || bytes.length != expected) {
+        val found = if (bytes == null) "no file" else s"${bytes.length} bytes"
+        throw new IOException(s"spill file of leaf ${leaf.id} ($path): expected $expected bytes " +
+          s"for ${leaf.spilledCount} records, found $found")
+      }
+      val buf = ByteBuffer.wrap(bytes)
+      var r = 0
+      while (r < leaf.spilledCount) {
+        val id = buf.getLong()
+        val s = new Array[Float](seriesLen)
+        var i = 0
+        while (i < seriesLen) { s(i) = buf.getFloat(); i += 1 }
+        out += ((id, s))
+        r += 1
+      }
     }
     out
   }
@@ -126,11 +164,23 @@ final class SeriesStore(
     if (leaf.spillFile != null) { Files.deleteIfExists(leaf.spillFile); leaf.spillFile = null }
     leaf.spilledCount = 0
   }
+
+  /** Delete the spill directory and every file left in it. Called once the
+    * index is written or the build has failed; spilled records are gone after.
+    */
+  def release(): Unit = synchronized {
+    if (dir != null) {
+      val files = Files.list(dir)
+      try files.forEach(f => Files.deleteIfExists(f)) finally files.close()
+      Files.deleteIfExists(dir)
+      dir = null
+    }
+  }
 }
 
 object SeriesStore {
 
-  /** Create a store with a fresh temp spill directory.
+  /** Create a store; its spill directory is made on the first flush.
     *
     * @param totalSlots capacity across all workers; rounded up so each region
     *                   holds at least `minRegion` series (the DBuffer chunk —
@@ -139,8 +189,6 @@ object SeriesStore {
     */
   def create(seriesLen: Int, numWorkers: Int, totalSlots: Int, minRegion: Int): SeriesStore = {
     val region = math.max(minRegion, (totalSlots + numWorkers - 1) / numWorkers)
-    val dir = Files.createTempDirectory("hercules-spill-")
-    dir.toFile.deleteOnExit()
-    new SeriesStore(seriesLen, numWorkers, region, dir)
+    new SeriesStore(seriesLen, numWorkers, region)
   }
 }

@@ -17,6 +17,35 @@ object TestUtil {
   def dataset(n: Int, len: Int, seed: Long, kind: String = "walk"): (Array[Long], Array[Array[Float]]) =
     (Array.tabulate(n)(_.toLong), SeriesGen.dataset(kind, n, len, seed))
 
+  /** SHA-256 (hex) of everything a build decides: per node in preorder, the
+    * split (`vertical`, value bits, `childEnds`, `routeSeg`, `useSd`) or the
+    * leaf size; then LRDFile's float bits and the ids in file order.
+    */
+  def treeDigest(index: HerculesIndex): String = {
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    val out = new java.io.DataOutputStream(new java.security.DigestOutputStream(
+      java.io.OutputStream.nullOutputStream(), md))
+    def walk(n: Node): Unit =
+      if (n.isLeaf) { out.writeByte(0); out.writeInt(n.leafSize) }
+      else {
+        val s = n.split
+        out.writeByte(1)
+        out.writeBoolean(s.vertical)
+        out.writeLong(java.lang.Double.doubleToLongBits(s.value))
+        out.writeInt(s.childEnds.length)
+        s.childEnds.foreach(out.writeInt)
+        out.writeInt(s.routeSeg)
+        out.writeBoolean(s.useSd)
+        walk(n.left)
+        walk(n.right)
+      }
+    walk(index.root)
+    index.lrd.foreach(f => out.writeInt(java.lang.Float.floatToRawIntBits(f)))
+    index.ids.foreach(out.writeLong)
+    out.flush()
+    md.digest().map(b => f"${b & 0xff}%02x").mkString
+  }
+
   /** Assert `actual` equals the brute-force exact k-NN for `q`. */
   def assertExact(ids: Array[Long], data: Array[Array[Float]], q: Array[Float], k: Int,
                   actual: Array[Neighbor], context: String = ""): Unit = {
