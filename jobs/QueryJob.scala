@@ -4,23 +4,22 @@ import repro.core.{QueryKnobs, SeriesGen}
 import repro.spark.Distributed
 
 /** Stage 2 of the paper's pipeline: load a saved per-partition index and
-  * answer a k-NN workload.
+  * answer a k-NN workload. The series length and count come from the index.
   *
-  * Usage: QueryJob <indexDir> [kind] [nSeries] [len] [workload] [k] [nQ]
+  * Usage: QueryJob <indexDir> [kind] [workload] [k] [nQ]
   */
 object QueryJob {
   def main(args: Array[String]): Unit = {
     val dir = args.headOption.getOrElse("/tmp/hercules-index")
     val kind = args.lift(1).getOrElse("walk")
-    val nSeries = args.lift(2).map(_.toLong).getOrElse(32000L)
-    val len = args.lift(3).map(_.toInt).getOrElse(256)
-    val workload = args.lift(4).getOrElse("5%")
-    val k = args.lift(5).map(_.toInt).getOrElse(1)
-    val nQ = args.lift(6).map(_.toInt).getOrElse(10)
+    val workload = args.lift(2).getOrElse("5%")
+    val k = args.lift(3).map(_.toInt).getOrElse(1)
+    val nQ = args.lift(4).map(_.toInt).getOrElse(10)
     val spark = JobUtil.session("hercules-query")
     try {
       val built = Distributed.loadFromDir(spark, dir)
-      val queries = SeriesGen.queries(kind, workload, nQ, nSeries, len, 20220601L)
+      val len = built.rdd.first().index.len
+      val queries = SeriesGen.queries(kind, workload, nQ, built.totalSeries, len, 20220601L)
       val res = Distributed.knnBatch(built, queries, QueryKnobs(k = k, lmax = 8, threads = 1))
       println(f"answered $nQ $workload ${k}NN queries: avg ${res.avgQueryMs}%.2f ms/query, " +
         f"${res.avgAccessFraction * 100}%.1f%% data accessed")

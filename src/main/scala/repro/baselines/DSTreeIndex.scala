@@ -11,33 +11,31 @@ import repro.core._
   * `LB_EAPCA` scans every non-pruned leaf with real distances. Single thread,
   * no iSAX, no thresholds.
   */
-final class DSTreeIndex(val idx: HerculesIndex) extends Serializable {
+final class DSTreeIndex(val cfg: IndexConfig, val root: Node, lrd: Array[Float], ids: Array[Long])
+    extends SeriesIndex(cfg.seriesLength, lrd, ids) {
+
+  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = knn(q, knobs.k, stats)
 
   /** Exact k-NN (DSTree's search; one thread). */
   def knn(q: Array[Float], k: Int, stats: QueryStats = new QueryStats): Array[Neighbor] = {
+    checkQuery(q)
     val qc = new SeriesCtx(q)
     val results = new KnnSet(k)
-    val len = idx.cfg.seriesLength
 
     def scanLeaf(leaf: Node): Unit = {
-      var i = leaf.filePos
-      while (i < leaf.filePos + leaf.leafSize) {
-        results.add(Dist.ed2Flat(q, idx.lrd, i * len, results.bsf), idx.ids(i))
-        i += 1
-      }
-      stats.seriesAccessed.addAndGet(leaf.leafSize)
+      scan(q, leaf.filePos, leaf.filePos + leaf.leafSize, results, stats)
       stats.leavesVisited.incrementAndGet()
     }
 
     // Approximate answer: descend the split policies to the home leaf.
-    var home = idx.root
+    var home = root
     while (!home.isLeaf) home = if (home.split.goesLeft(q)) home.left else home.right
     scanLeaf(home)
 
     // Exact traversal.
     val pq = new java.util.PriorityQueue[(Node, Double)](64,
       (a: (Node, Double), b: (Node, Double)) => java.lang.Double.compare(a._2, b._2))
-    pq.add((idx.root, math.sqrt(Eapca.lb2(qc, idx.root))))
+    pq.add((root, math.sqrt(Eapca.lb2(qc, root))))
     var done = false
     while (!done && !pq.isEmpty) {
       val (node, lb) = pq.poll()
@@ -57,7 +55,8 @@ final class DSTreeIndex(val idx: HerculesIndex) extends Serializable {
 object DSTreeIndex {
 
   /** Build the DSTree* baseline over a dataset. */
-  def build(ids: Array[Long], data: Array[Array[Float]], cfg: IndexConfig): DSTreeIndex =
-    new DSTreeIndex(HerculesIndex.build(ids, data, cfg.copy(buildThreads = 1),
-      BuildMode.Sequential, computeSax = false))
+  def build(ids: Array[Long], data: Array[Array[Float]], cfg: IndexConfig): DSTreeIndex = {
+    val tree = HerculesIndex.build(ids, data, cfg.copy(buildThreads = 1), BuildMode.Sequential, computeSax = false)
+    new DSTreeIndex(tree.cfg, tree.root, tree.lrd, tree.ids)
+  }
 }

@@ -21,14 +21,13 @@ import repro.core._
   * which are implemented faithfully.
   */
 final class ParISIndex(
-    val len: Int,
-    val lrd: Array[Float],
-    val ids: Array[Long],
+    len: Int,
+    lrd: Array[Float],
+    ids: Array[Long],
     val lsd: Array[Byte],
-    val nSeries: Int,
     val isax: ISax,
     val groups: Map[Int, Array[Int]],
-) extends Serializable {
+) extends SeriesIndex(len, lrd, ids) {
 
   private def keyOf(word: Array[Byte], off: Int): Int = {
     var key = 0
@@ -40,8 +39,12 @@ final class ParISIndex(
     key
   }
 
+  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] =
+    knn(q, knobs.k, knobs.threads, stats)
+
   /** Exact k-NN via parallel SIMS (summary scan + file-order refinement). */
   def knn(q: Array[Float], k: Int, threads: Int, stats: QueryStats = new QueryStats): Array[Neighbor] = {
+    checkQuery(q)
     val results = new KnnSet(k)
     val paaQ = isax.paa(q)
     val qWord = new Array[Byte](isax.segments)
@@ -113,15 +116,13 @@ object ParISIndex {
 
   /** Build: one pass computing iSAX words + top-bit root-subtree grouping. */
   def build(idsIn: Array[Long], data: Array[Array[Float]], cfg: IndexConfig): ParISIndex = {
-    val len = cfg.seriesLength
+    val lrd = SeriesIndex.pack(idsIn, data, cfg.seriesLength)
     val isax = ISax(cfg)
     val n = data.length
-    val lrd = new Array[Float](n * len)
     val lsd = new Array[Byte](n * isax.segments)
     val grouped = new java.util.HashMap[Int, ArrayBuffer[Int]]
     var i = 0
     while (i < n) {
-      System.arraycopy(data(i), 0, lrd, i * len, len)
       val w = isax.word(data(i))
       System.arraycopy(w, 0, lsd, i * isax.segments, isax.segments)
       var key = 0
@@ -137,6 +138,6 @@ object ParISIndex {
       grouped.forEach((k, v) => b += (k -> v.toArray))
       b.result()
     }
-    new ParISIndex(len, lrd, idsIn.clone(), lsd, n, isax, groups)
+    new ParISIndex(cfg.seriesLength, lrd, idsIn.clone(), lsd, isax, groups)
   }
 }

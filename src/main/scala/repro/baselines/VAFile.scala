@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Dist, KnnSet, Neighbor, QueryStats}
+import repro.core.{Dist, KnnSet, Neighbor, QueryKnobs, QueryStats, SeriesIndex}
 
 /** VA+file baseline (§2): a skip-sequential filter file over a 16-dimension
   * real-DFT transform of each series, with per-dimension equi-depth scalar
@@ -16,28 +16,25 @@ import repro.core.{Dist, KnnSet, Neighbor, QueryStats}
   * paper classes VA+file as the best skip-sequential (not parallel) method.
   */
 final class VAFile(
-    val len: Int,
+    len: Int,
+    lrd: Array[Float],
+    ids: Array[Long],
     val dims: Int,
-    val lrd: Array[Float],
-    val ids: Array[Long],
-    val nSeries: Int,
     val boundaries: Array[Array[Double]], // per dim: cells+1 edges (±∞ at ends)
     val cells: Array[Byte],               // per series × dim: cell index
-) extends Serializable {
+) extends SeriesIndex(len, lrd, ids) {
+
+  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = knn(q, knobs.k, stats)
 
   /** Exact k-NN: seed BSF, then filter + refine skip-sequentially. */
   def knn(q: Array[Float], k: Int, stats: QueryStats = new QueryStats): Array[Neighbor] = {
+    checkQuery(q)
     val results = new KnnSet(k)
     val qf = VAFile.transform(q, dims)
     val seed = math.min(256, nSeries)
-    var i = 0
-    while (i < seed) {
-      results.add(Dist.ed2Flat(q, lrd, i * len, results.bsf), ids(i))
-      i += 1
-    }
-    stats.seriesAccessed.addAndGet(seed)
+    scan(q, 0, seed, results, stats)
     var accessed = 0L
-    i = 0
+    var i = 0
     while (i < nSeries) {
       var lb2 = 0.0
       var d = 0
@@ -98,12 +95,11 @@ object VAFile {
 
   /** Build the VA+file: transform, fit equi-depth boundaries, quantize. */
   def build(idsIn: Array[Long], data: Array[Array[Float]], len: Int, dims: Int = 16): VAFile = {
+    val lrd = SeriesIndex.pack(idsIn, data, len)
     val n = data.length
     val feats = new Array[Double](n * dims)
-    val lrd = new Array[Float](n * len)
     var i = 0
     while (i < n) {
-      System.arraycopy(data(i), 0, lrd, i * len, len)
       System.arraycopy(transform(data(i), dims), 0, feats, i * dims, dims)
       i += 1
     }
@@ -139,6 +135,6 @@ object VAFile {
       }
       i += 1
     }
-    new VAFile(len, dims, lrd, idsIn.clone(), n, boundaries, cellIdx)
+    new VAFile(len, lrd, idsIn.clone(), dims, boundaries, cellIdx)
   }
 }

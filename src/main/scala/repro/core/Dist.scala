@@ -4,8 +4,8 @@ package repro.core
   *
   * The paper uses hand-written SIMD; here tight scalar loops rely on JIT
   * auto-vectorization — a constant factor shared by every compared method
-  * (DESIGN.md §3). All kernels work on *squared* distances, and the
-  * early-abandoning variants stop as soon as the partial sum exceeds the
+  * (DESIGN.md §3). Both kernels work on *squared* distances, and the
+  * early-abandoning one stops as soon as the partial sum exceeds the
   * best-so-far bound (UCR-suite optimization, used by all methods).
   */
 object Dist {
@@ -15,21 +15,6 @@ object Dist {
     var i = 0
     var acc = 0.0
     while (i < a.length) { val d = a(i).toDouble - b(i); acc += d * d; i += 1 }
-    acc
-  }
-
-  /** Squared ED with early abandoning against `bound`; may return any value
-    * `> bound` once abandoned (checked every 16 points).
-    */
-  def ed2EarlyAbandon(a: Array[Float], b: Array[Float], bound: Double): Double = {
-    var i = 0
-    var acc = 0.0
-    val n = a.length
-    while (i < n) {
-      val lim = math.min(i + 16, n)
-      while (i < lim) { val d = a(i).toDouble - b(i); acc += d * d; i += 1 }
-      if (acc > bound) return acc
-    }
     acc
   }
 

@@ -25,23 +25,13 @@ object ExactKnn {
 
   /** Exact k-NN of `q` over `idx` under `knobs`; fills `stats`. */
   def search(idx: HerculesIndex, q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] = {
-    require(q.length == idx.cfg.seriesLength)
+    idx.checkQuery(q)
     val qc = new SeriesCtx(q)
     val results = new KnnSet(knobs.k)
-    val len = idx.cfg.seriesLength
     val pq = new java.util.PriorityQueue[PQE](64, byLb)
     pq.add(PQE(idx.root, math.sqrt(Eapca.lb2(qc, idx.root))))
 
-    def scanLeafReal(leaf: Node): Unit = {
-      var i = leaf.filePos
-      val end = leaf.filePos + leaf.leafSize
-      while (i < end) {
-        val d = Dist.ed2Flat(q, idx.lrd, i * len, results.bsf)
-        results.add(d, idx.ids(i))
-        i += 1
-      }
-      stats.seriesAccessed.addAndGet(leaf.leafSize)
-    }
+    def scanLeaf(leaf: Node): Unit = idx.scan(q, leaf.filePos, leaf.filePos + leaf.leafSize, results, stats)
 
     // ---- Step 1: Approx-kNN (Algorithm 11) ----
     var visited = 0
@@ -50,7 +40,7 @@ object ExactKnn {
       val e = pq.poll()
       if (e.lb > math.sqrt(results.bsf)) exactDone = true // everything else is farther
       else if (e.node.isLeaf) {
-        scanLeafReal(e.node)
+        scanLeaf(e.node)
         visited += 1
         stats.leavesVisited.incrementAndGet()
       } else {
@@ -76,7 +66,9 @@ object ExactKnn {
     stats.candidateLeaves = lcSorted.size
     val eapcaPr = 1.0 - lcSorted.size.toDouble / math.max(1, idx.totalLeaves)
     if (knobs.useThresholds && eapcaPr < knobs.eapcaTh) {
-      skipSeqLeaves(idx, q, lcSorted, results, stats)
+      // Skip-sequential scan of the candidate leaves in LRDFile order,
+      // re-checking each leaf's bound against the evolving BSF.
+      lcSorted.foreach { case (leaf, lb) => if (lb * lb < results.bsf) scanLeaf(leaf) }
       stats.skipSeqEapca = true
       return results.toArray
     }
@@ -132,7 +124,7 @@ object ExactKnn {
       locals(t).foreach { case (pos, lbDist) =>
         val bound = results.bsfSync
         if (lbDist * lbDist < bound) {
-          val d = Dist.ed2Flat(q, idx.lrd, pos * len, bound)
+          val d = Dist.ed2Flat(q, idx.lrd, pos * idx.len, bound)
           accessed += 1
           results.addSync(d, idx.ids(pos))
         }
@@ -148,35 +140,14 @@ object ExactKnn {
     if (lb < math.sqrt(results.bsf)) pq.add(PQE(child, lb))
   }
 
-  /** Single-thread skip-sequential scan over candidate leaves in LRDFile
-    * order, re-checking each leaf's bound against the evolving BSF.
-    */
-  private def skipSeqLeaves(idx: HerculesIndex, q: Array[Float],
-                            lcSorted: ArrayBuffer[(Node, Double)],
-                            results: KnnSet, stats: QueryStats): Unit = {
-    val len = idx.cfg.seriesLength
-    lcSorted.foreach { case (leaf, lb) =>
-      if (lb * lb < results.bsf) {
-        var i = leaf.filePos
-        while (i < leaf.filePos + leaf.leafSize) {
-          val d = Dist.ed2Flat(q, idx.lrd, i * len, results.bsf)
-          results.add(d, idx.ids(i))
-          i += 1
-        }
-        stats.seriesAccessed.addAndGet(leaf.leafSize)
-      }
-    }
-  }
-
   /** Single-thread skip-sequential scan over candidate series positions. */
   private def skipSeqPositions(idx: HerculesIndex, q: Array[Float],
                                entries: Array[(Int, Double)],
                                results: KnnSet, stats: QueryStats): Unit = {
-    val len = idx.cfg.seriesLength
     var accessed = 0L
     entries.foreach { case (pos, lbDist) =>
       if (lbDist * lbDist < results.bsf) {
-        val d = Dist.ed2Flat(q, idx.lrd, pos * len, results.bsf)
+        val d = Dist.ed2Flat(q, idx.lrd, pos * idx.len, results.bsf)
         accessed += 1
         results.add(d, idx.ids(pos))
       }

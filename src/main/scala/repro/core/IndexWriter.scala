@@ -68,7 +68,7 @@ object IndexWriter {
       }
     finish(tree.root)
 
-    new HerculesIndex(cfg, tree.root, lrd, idsArr, lsd, n)
+    new HerculesIndex(cfg, tree.root, lrd, idsArr, lsd)
   }
 
   /** ProcessLeaf of Algorithm 7: materialize + summarize + fix ancestors. */

@@ -37,10 +37,11 @@ object BuildMode {
 final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
 
   /** Build the tree over `(ids, data)`; returns the tree plus the HBuffer
-    * (still holding unflushed leaf data — the IndexWriter consumes it).
+    * (still holding unflushed leaf data — the IndexWriter consumes it). Each
+    * row is checked with [[SeriesIndex.checkRows]] as it is read, so a bad
+    * row fails the build with an `IllegalArgumentException`.
     */
   def build(ids: Array[Long], data: Array[Array[Float]]): (HerculesTree, SeriesStore) = {
-    require(ids.length == data.length)
     val n = data.length
     val tree = new HerculesTree(cfg)
     val workers = if (mode == BuildMode.Sequential) 1 else math.max(1, cfg.buildThreads)
@@ -59,6 +60,7 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
     if (workers == 1) {
       var i = 0
       while (i < n) {
+        SeriesIndex.checkRows(ids, data, cfg.seriesLength, i, i + 1)
         if (store.freeSlots(0) == 0) store.flushAll(tree.root)
         mode match {
           case BuildMode.Sequential => tree.insertSequential(ids(i), data(i), store)
@@ -77,6 +79,22 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
     val flushCounter = new AtomicInteger(0)
     @volatile var failure: Throwable = null
     var actionToggle = 0 // only touched inside the barrier action
+    var next = 0 // first series not yet read; only touched by the coordinator
+
+    // Read the next chunk into part `p` (Algorithm 1's read phase), checking
+    // its rows. A bad row ends the input: the workers finish the chunk in
+    // hand and stop, and the build throws.
+    def fill(p: Int): Unit = {
+      val len = math.min(dbSize, n - next)
+      if (len > 0 && failure == null)
+        try SeriesIndex.checkRows(ids, data, cfg.seriesLength, next, next + len)
+        catch { case e: IllegalArgumentException => failure = e }
+      finished(p) = len == 0 || failure != null
+      chunkStart(p) = next
+      chunkLen(p) = len
+      cursors(p).set(0)
+      next += len
+    }
 
     def insertOne(i: Int, w: Int): Unit = mode match {
       case BuildMode.PathLocked => tree.insertPathLocked(ids(i), data(i), w, store)
@@ -111,12 +129,7 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
       }
     }
 
-    // Fill part 0 with the first chunk (read phase, Algorithm 1 line 15).
-    chunkLen(0) = math.min(dbSize, n)
-    chunkStart(0) = 0
-    cursors(0).set(0)
-    finished(0) = n == 0
-    var next = chunkLen(0)
+    fill(0) // Algorithm 1 line 15
 
     val threads = (0 until workers).map { w =>
       val th = new Thread(() =>
@@ -130,14 +143,7 @@ final class ParallelBuilder(cfg: IndexConfig, mode: BuildMode) {
     var toggle = 0
     try {
       while (!finished(toggle)) {
-        val other = 1 - toggle
-        if (next < n) {
-          chunkStart(other) = next
-          chunkLen(other) = math.min(dbSize, n - next)
-          cursors(other).set(0)
-          finished(other) = false
-          next += chunkLen(other)
-        } else finished(other) = true
+        fill(1 - toggle)
         barrier.await()
         toggle ^= 1
       }

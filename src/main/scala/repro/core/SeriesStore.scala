@@ -57,19 +57,6 @@ final class SeriesStore(
   /** Original id of the series stored in `slot`. */
   def idAt(slot: Int): Long = slotIds(slot)
 
-  /** Stat of one segment of the slot's series without copying. */
-  def segMeanSd(slot: Int, from: Int, until: Int): (Double, Double) = {
-    val off = slot * seriesLen
-    var i = off + from
-    val end = off + until
-    var sum = 0.0
-    var sum2 = 0.0
-    while (i < end) { val v = flat(i).toDouble; sum += v; sum2 += v * v; i += 1 }
-    val len = until - from
-    val m = sum / len
-    (m, math.sqrt(math.max(0.0, sum2 / len - m * m)))
-  }
-
   /** Flush every leaf of `root`: append buffered series to the leaf's spill
     * file, clear its SBuffer, then reset all regions. Single-threaded — the
     * FlushCoordinator runs this while all other workers are parked (§3.3.2).

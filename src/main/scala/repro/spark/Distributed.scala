@@ -1,6 +1,5 @@
 package repro.spark
 
-import java.io.{BufferedInputStream, BufferedOutputStream, FileInputStream, FileOutputStream, ObjectInputStream, ObjectOutputStream}
 import java.nio.file.{Files, Paths}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
@@ -61,31 +60,39 @@ object Distributed {
         Iterator.single(LocalIndex.build(method, arr.map(_._1), arr.map(_._2), cfg): LocalIndex)
       }
       .persist(StorageLevel.MEMORY_AND_DISK)
-    rdd.count()
+    try rdd.count()
+    catch { case e: Throwable => rdd.unpersist(blocking = false); throw e }
     val wallMs = (System.nanoTime() - t0) / 1e6
-    val stats = rdd.map(i => (i.nSeries, i.buildMs)).collect()
+    summarize(rdd, wallMs, partitions)
+  }
+
+  /** Series count and slowest build over the partitions of `rdd`. */
+  private def summarize(rdd: RDD[LocalIndex], wallMs: Double, partitions: Int): BuiltIndex = {
+    val stats = rdd.map(i => (i.index.nSeries.toLong, i.buildMs)).collect()
     BuiltIndex(rdd, wallMs, partitions, stats.map(_._1).sum, if (stats.isEmpty) 0 else stats.map(_._2).max)
   }
 
-  /** Answer a broadcast batch of queries exactly; merge per-partition top-k. */
+  /** Answer a broadcast batch of queries exactly; merge per-partition top-k.
+    * The broadcast is destroyed also when a task fails.
+    */
   def knnBatch(built: BuiltIndex, queries: Array[Array[Float]], knobs: QueryKnobs): QueryBatchResult = {
     val sc = built.rdd.sparkContext
     val bq = sc.broadcast(queries)
     val t0 = System.nanoTime()
-    val partResults = built.rdd.map { idx =>
+    val partResults = try built.rdd.map { local =>
       val qs = bq.value
       val stats = Array.fill(qs.length)(new QueryStats)
       val times = new Array[Double](qs.length)
       val res = Array.tabulate(qs.length) { qi =>
         val q0 = System.nanoTime()
-        val r = idx.knn(qs(qi), knobs, stats(qi))
+        val r = local.index.knn(qs(qi), knobs, stats(qi))
         times(qi) = (System.nanoTime() - q0) / 1e6
         r
       }
       (res, stats, times)
     }.collect()
+    finally bq.destroy()
     val wallMs = (System.nanoTime() - t0) / 1e6
-    bq.destroy()
     val merged = Array.tabulate(queries.length) { qi =>
       val set = new KnnSet(knobs.k)
       partResults.foreach { case (res, _, _) => set.addAll(res(qi)) }
@@ -116,12 +123,7 @@ object Distributed {
   def saveToDir(built: BuiltIndex, dir: String): Unit = {
     Files.createDirectories(Paths.get(dir))
     built.rdd.mapPartitionsWithIndex { (pid, it) =>
-      it.foreach { idx =>
-        val out = new ObjectOutputStream(new BufferedOutputStream(
-          new FileOutputStream(s"$dir/part-$pid.idx")))
-        try out.writeObject(idx)
-        finally out.close()
-      }
+      it.foreach(_.save(Paths.get(s"$dir/part-$pid.idx")))
       Iterator.single(pid)
     }.count()
   }
@@ -132,13 +134,8 @@ object Distributed {
     require(files.nonEmpty, s"no index files under $dir")
     val rdd = spark.sparkContext
       .parallelize(files.toSeq, files.length)
-      .map { f =>
-        val in = new ObjectInputStream(new BufferedInputStream(new FileInputStream(f)))
-        try in.readObject().asInstanceOf[LocalIndex]
-        finally in.close()
-      }
+      .map(f => LocalIndex.load(Paths.get(f)))
       .persist(StorageLevel.MEMORY_AND_DISK)
-    val stats = rdd.map(i => (i.nSeries, i.buildMs)).collect()
-    BuiltIndex(rdd, 0.0, files.length, stats.map(_._1).sum, if (stats.isEmpty) 0 else stats.map(_._2).max)
+    summarize(rdd, 0.0, files.length)
   }
 }

@@ -1,56 +1,22 @@
 package repro.spark
 
+import java.io.{BufferedInputStream, BufferedOutputStream, FileInputStream, FileOutputStream, ObjectInputStream, ObjectOutputStream}
+import java.nio.file.Path
 import repro.baselines.{DSTreeIndex, ParISIndex, Pscan, VAFile}
-import repro.core._
+import repro.core.{HerculesIndex, IndexConfig, SeriesIndex}
 
 /** One partition's self-contained similarity-search structure — the unit the
   * paper's single-node methods map onto under the per-partition Spark design
-  * (DESIGN.md §2). Each implementation wraps one core method; `knn` must be
-  * exact within the partition, so the driver-side top-k merge is exact
-  * globally.
+  * (DESIGN.md §2) — and its wall-clock build time in ms. `index.knn` is exact
+  * within the partition, so the driver-side top-k merge is exact globally.
   */
-sealed trait LocalIndex extends Serializable {
-  /** Series indexed in this partition. */
-  def nSeries: Long
-  /** Wall-clock build time of this partition's structure, in ms. */
-  def buildMs: Double
-  /** Exact within-partition k-NN; `stats` accumulates access counters. */
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor]
-}
-
-/** Hercules partition: the full index + adaptive 4-step search. */
-final case class HerculesLocal(idx: HerculesIndex, buildMs: Double) extends LocalIndex {
-  def nSeries: Long = idx.nSeries
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] =
-    idx.knn(q, knobs, stats)
-}
-
-/** DSTree* partition (single-threaded sequential-tree baseline). */
-final case class DSTreeLocal(idx: DSTreeIndex, buildMs: Double) extends LocalIndex {
-  def nSeries: Long = idx.idx.nSeries
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] =
-    idx.knn(q, knobs.k, stats)
-}
-
-/** ParIS+ partition (summary-array SIMS baseline). */
-final case class ParISLocal(idx: ParISIndex, buildMs: Double) extends LocalIndex {
-  def nSeries: Long = idx.nSeries
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] =
-    idx.knn(q, knobs.k, knobs.threads, stats)
-}
-
-/** VA+file partition (skip-sequential filter-file baseline). */
-final case class VAFileLocal(idx: VAFile, buildMs: Double) extends LocalIndex {
-  def nSeries: Long = idx.nSeries
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] =
-    idx.knn(q, knobs.k, stats)
-}
-
-/** PSCAN partition (optimized parallel scan baseline). */
-final case class PscanLocal(idx: Pscan, buildMs: Double) extends LocalIndex {
-  def nSeries: Long = idx.nSeries
-  def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] =
-    idx.knn(q, knobs.k, knobs.threads, stats)
+final case class LocalIndex(index: SeriesIndex, buildMs: Double) {
+  /** Write this index to `path` as one Java-serialized object. */
+  def save(path: Path): Unit = {
+    val out = new ObjectOutputStream(new BufferedOutputStream(new FileOutputStream(path.toFile)))
+    try out.writeObject(this)
+    finally out.close()
+  }
 }
 
 object LocalIndex {
@@ -60,14 +26,21 @@ object LocalIndex {
   /** Build one partition's structure for `method` over materialized series. */
   def build(method: String, ids: Array[Long], data: Array[Array[Float]], cfg: IndexConfig): LocalIndex = {
     val t0 = System.nanoTime()
-    def ms: Double = (System.nanoTime() - t0) / 1e6
-    method match {
-      case "hercules" => val i = HerculesIndex.build(ids, data, cfg); HerculesLocal(i, ms)
-      case "dstree"   => val i = DSTreeIndex.build(ids, data, cfg); DSTreeLocal(i, ms)
-      case "paris"    => val i = ParISIndex.build(ids, data, cfg); ParISLocal(i, ms)
-      case "vafile"   => val i = VAFile.build(ids, data, cfg.seriesLength); VAFileLocal(i, ms)
-      case "pscan"    => val i = Pscan.build(ids, data, cfg.seriesLength); PscanLocal(i, ms)
+    val index = method match {
+      case "hercules" => HerculesIndex.build(ids, data, cfg)
+      case "dstree"   => DSTreeIndex.build(ids, data, cfg)
+      case "paris"    => ParISIndex.build(ids, data, cfg)
+      case "vafile"   => VAFile.build(ids, data, cfg.seriesLength)
+      case "pscan"    => Pscan.build(ids, data, cfg.seriesLength)
       case other      => throw new IllegalArgumentException(s"unknown method: $other")
     }
+    LocalIndex(index, (System.nanoTime() - t0) / 1e6)
+  }
+
+  /** Read an index written by [[LocalIndex.save]]. */
+  def load(path: Path): LocalIndex = {
+    val in = new ObjectInputStream(new BufferedInputStream(new FileInputStream(path.toFile)))
+    try in.readObject().asInstanceOf[LocalIndex]
+    finally in.close()
   }
 }

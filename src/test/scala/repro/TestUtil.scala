@@ -46,6 +46,19 @@ object TestUtil {
     md.digest().map(b => f"${b & 0xff}%02x").mkString
   }
 
+  /** Assert `body` throws an `IllegalArgumentException`, possibly wrapped
+    * (as Spark wraps a failed task's exception), whose message contains every
+    * one of `parts`.
+    */
+  def assertRejected(parts: String*)(body: => Any): Unit = {
+    val thrown = try { body; None } catch { case e: Exception => Some(e) }
+    assert(thrown.isDefined, "expected an IllegalArgumentException, but nothing was thrown")
+    val iae = Iterator.iterate[Throwable](thrown.get)(_.getCause).takeWhile(_ != null)
+      .collectFirst { case e: IllegalArgumentException => e }
+    assert(iae.isDefined, s"expected an IllegalArgumentException, got ${thrown.get}")
+    parts.foreach(p => assert(iae.get.getMessage.contains(p), s"'${iae.get.getMessage}' lacks '$p'"))
+  }
+
   /** Assert `actual` equals the brute-force exact k-NN for `q`. */
   def assertExact(ids: Array[Long], data: Array[Array[Float]], q: Array[Float], k: Int,
                   actual: Array[Neighbor], context: String = ""): Unit = {

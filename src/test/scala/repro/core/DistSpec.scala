@@ -17,25 +17,6 @@ class DistSpec extends AnyFunSuite {
     assert(math.abs(Dist.ed2(a, b) - (1 + 4 + 4)) < 1e-12)
   }
 
-  for (seed <- 1 to 6)
-    test(s"ed2EarlyAbandon with infinite bound equals ed2 (seed $seed)") {
-      val rng = new Random(seed)
-      val a = Array.fill(50)(rng.nextFloat())
-      val b = Array.fill(50)(rng.nextFloat())
-      assert(Dist.ed2EarlyAbandon(a, b, Double.PositiveInfinity) == Dist.ed2(a, b))
-    }
-
-  for (seed <- 1 to 6)
-    test(s"ed2EarlyAbandon abandoned value exceeds the bound (seed $seed)") {
-      val rng = new Random(100 + seed)
-      val a = Array.fill(64)(rng.nextFloat() * 10)
-      val b = Array.fill(64)(-rng.nextFloat() * 10)
-      val full = Dist.ed2(a, b)
-      val bound = full / 4
-      val r = Dist.ed2EarlyAbandon(a, b, bound)
-      assert(r > bound)
-    }
-
   private def ed2FlatMatchesEd2(len: Int, seed: Int): Unit = {
     val data = SeriesGen.dataset("walk", 5, len, seed)
     val flat = new Array[Float](5 * len)
@@ -51,10 +32,10 @@ class DistSpec extends AnyFunSuite {
     test(s"ed2Flat equals ed2 at every offset (seed $seed)")(ed2FlatMatchesEd2(24, seed))
 
   // Whole 16-point blocks only, several blocks, and blocks plus a tail.
-  for (len <- Seq(16, 96, 100); seed <- 1 to 6)
+  for (len <- Seq(16, 50, 96, 100); seed <- 1 to 6)
     test(s"ed2Flat equals ed2 at every offset (len $len, seed $seed)")(ed2FlatMatchesEd2(len, seed))
 
-  for (len <- Seq(16, 96, 100); seed <- 1 to 6)
+  for (len <- Seq(16, 64, 96, 100); seed <- 1 to 6)
     test(s"ed2Flat abandoned value exceeds the bound (len $len, seed $seed)") {
       val rng = new Random(200 + seed)
       val q = Array.fill(len)(rng.nextFloat() * 10)

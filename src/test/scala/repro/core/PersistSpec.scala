@@ -3,40 +3,42 @@ package repro.core
 import java.nio.file.Files
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
+import repro.spark.LocalIndex
 
-/** Index save/load: the on-disk HTree+LRDFile+LSDFile round trip. */
+/** Index save/load: the on-disk round trip every saved partition goes through. */
 class PersistSpec extends AnyFunSuite {
+
+  /** Save `idx` as a partition file, load it back and return the reloaded tree. */
+  private def roundTrip(idx: HerculesIndex): HerculesIndex = {
+    val f = Files.createTempFile("hercules-idx", ".idx")
+    try {
+      LocalIndex(idx, 0.0).save(f)
+      LocalIndex.load(f).index.asInstanceOf[HerculesIndex]
+    } finally Files.deleteIfExists(f)
+  }
 
   test("saved index answers queries identically after reload") {
     val (ids, data) = TestUtil.dataset(400, 32, 21)
     val idx = HerculesIndex.build(ids, data, TestUtil.cfg(32, 16, 2))
-    val f = Files.createTempFile("hercules-idx", ".bin")
-    try {
-      idx.save(f)
-      val reloaded = HerculesIndex.load(f)
-      assert(reloaded.nSeries == idx.nSeries)
-      assert(reloaded.totalLeaves == idx.totalLeaves)
-      val queries = SeriesGen.queries("walk", "5%", 5, 400, 32, 21)
-      queries.foreach { q =>
-        val a = idx.knn(q, QueryKnobs(k = 5, lmax = 4, threads = 2))
-        val b = reloaded.knn(q, QueryKnobs(k = 5, lmax = 4, threads = 2))
-        assert(a.map(x => (x.id, x.dist2)).toSeq == b.map(x => (x.id, x.dist2)).toSeq)
-        TestUtil.assertExact(ids, data, q, 5, b, "reloaded")
-      }
-    } finally Files.deleteIfExists(f)
+    val reloaded = roundTrip(idx)
+    assert(reloaded.nSeries == idx.nSeries)
+    assert(reloaded.totalLeaves == idx.totalLeaves)
+    val queries = SeriesGen.queries("walk", "5%", 5, 400, 32, 21)
+    queries.foreach { q =>
+      val a = idx.knn(q, QueryKnobs(k = 5, lmax = 4, threads = 2))
+      val b = reloaded.knn(q, QueryKnobs(k = 5, lmax = 4, threads = 2))
+      assert(a.map(x => (x.id, x.dist2)).toSeq == b.map(x => (x.id, x.dist2)).toSeq)
+      TestUtil.assertExact(ids, data, q, 5, b, "reloaded")
+    }
   }
 
   test("reloaded tree preserves structure and positions") {
     val (ids, data) = TestUtil.dataset(200, 32, 22)
     val idx = HerculesIndex.build(ids, data, TestUtil.cfg(32, 16))
-    val f = Files.createTempFile("hercules-idx2", ".bin")
-    try {
-      idx.save(f)
-      val r = HerculesIndex.load(f)
-      assert(r.leaves.map(_.filePos).toSeq == idx.leaves.map(_.filePos).toSeq)
-      assert(r.leaves.map(_.leafSize).toSeq == idx.leaves.map(_.leafSize).toSeq)
-      assert(r.ids.toSeq == idx.ids.toSeq)
-      assert(r.lsd.toSeq == idx.lsd.toSeq)
-    } finally Files.deleteIfExists(f)
+    val r = roundTrip(idx)
+    assert(r.leaves.map(_.filePos).toSeq == idx.leaves.map(_.filePos).toSeq)
+    assert(r.leaves.map(_.leafSize).toSeq == idx.leaves.map(_.leafSize).toSeq)
+    assert(r.ids.toSeq == idx.ids.toSeq)
+    assert(r.lsd.toSeq == idx.lsd.toSeq)
   }
 }

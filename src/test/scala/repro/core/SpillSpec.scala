@@ -108,15 +108,19 @@ class SpillSpec extends AnyFunSuite {
     assert(!Files.exists(dir))
   }
 
-  test("no spill directory remains after a failed build") {
-    val before = spillDirs()
-    val cfg = TestUtil.cfg(32, 8).copy(dbSize = 16, hbufferSlots = 32, flushThreshold = 1)
-    val (bIds, bData) = TestUtil.dataset(200, 32, 5)
-    bData(150) = new Array[Float](31) // fails the insert, long after the first flush
-    intercept[ArrayIndexOutOfBoundsException] {
-      new ParallelBuilder(cfg, BuildMode.Hercules).build(bIds, bData)
+  for (threads <- Seq(1, 3)) {
+    val name = "no spill directory remains after a failed build" + (if (threads == 1) "" else s" ($threads workers)")
+    test(name) {
+      val before = spillDirs()
+      val cfg = TestUtil.cfg(32, 8, threads).copy(dbSize = 16, hbufferSlots = 32, flushThreshold = 1)
+      val (bIds, bData) = TestUtil.dataset(200, 32, 5)
+      bData(150) = new Array[Float](31) // fails the build when read, long after the first flush
+      val e = intercept[IllegalArgumentException] {
+        new ParallelBuilder(cfg, BuildMode.Hercules).build(bIds, bData)
+      }
+      assert(e.getMessage.contains("series 150 (id 150) has 31 points, expected 32"), e.getMessage)
+      assert(spillDirs() == before)
     }
-    assert(spillDirs() == before)
   }
 
   test("a build that never spills creates no spill directory") {

@@ -2,12 +2,14 @@ package repro.spark
 
 import java.nio.file.Files
 import org.apache.spark.sql.DataFrame
-import repro.{Oracle, SparkSpec}
-import repro.core.{IndexConfig, QueryKnobs, SeriesGen}
+import repro.{Oracle, SparkSpec, TestUtil}
+import repro.core.{HerculesIndex, IndexConfig, QueryKnobs, SeriesGen}
+import repro.experiments.Runner
 
 /** Distributed per-partition indexing: every method's Spark pipeline must
   * return exactly the DuckDB brute-force k-NN (via the oracle), partition
-  * counts must not change answers, and save/load must round-trip.
+  * counts must not change answers, save/load must round-trip, and bad series
+  * or queries must fail the job without spoiling the index.
   */
 class DistributedSpec extends SparkSpec {
 
@@ -44,7 +46,7 @@ class DistributedSpec extends SparkSpec {
 
   for (method <- LocalIndex.Methods)
     test(s"$method distributed kNN matches the DuckDB oracle") {
-      val built = Distributed.build(df, method, cfg, Runner.partitions(method))
+      val built = Distributed.build(df, method, cfg, Runner.partitionsFor(method, spark))
       try {
         val res = Distributed.knnBatch(built, queries, knobs)
         val out = Distributed.resultsToDF(spark, res)
@@ -52,13 +54,6 @@ class DistributedSpec extends SparkSpec {
           "data" -> SeriesFrames.explode(df), "query" -> queryDF)
       } finally built.unpersist()
     }
-
-  private object Runner {
-    def partitions(method: String): Int = method match {
-      case "dstree" | "vafile" => 1
-      case _                   => 4
-    }
-  }
 
   test("answers are identical for 1, 2 and 5 partitions") {
     val refs = Seq(1, 2, 5).map { p =>
@@ -92,13 +87,67 @@ class DistributedSpec extends SparkSpec {
       try {
         assert(loaded.partitions == 3)
         assert(loaded.totalSeries == n)
+        val (ids, data) = TestUtil.dataset(n, len, seed)
         val a = Distributed.knnBatch(built, queries, knobs).neighbors
         val b = Distributed.knnBatch(loaded, queries, knobs).neighbors
-        a.zip(b).foreach { case (x, y) =>
+        a.zip(b).zip(queries).foreach { case ((x, y), q) =>
           assert(x.map(v => (v.id, v.dist2)).toSeq == y.map(v => (v.id, v.dist2)).toSeq)
+          TestUtil.assertExact(ids, data, q, k, y, "reloaded")
+        }
+        def trees(b: Distributed.BuiltIndex) = b.rdd.collect().map(_.index.asInstanceOf[HerculesIndex])
+        trees(built).zip(trees(loaded)).foreach { case (x, y) =>
+          assert(y.totalLeaves == x.totalLeaves)
+          assert(y.leaves.map(_.filePos) == x.leaves.map(_.filePos))
+          assert(y.leaves.map(_.leafSize) == x.leaves.map(_.leafSize))
+          assert(y.ids.toSeq == x.ids.toSeq)
+          assert(y.lsd.toSeq == x.lsd.toSeq)
         }
       } finally loaded.unpersist()
     } finally built.unpersist()
+  }
+
+  private def seriesDF(rows: Seq[(Long, Array[Float])]): DataFrame = {
+    import spark.implicits._
+    rows.toDF("id", "series")
+  }
+
+  for (method <- LocalIndex.Methods) {
+    test(s"$method knnBatch rejects bad queries and the index still answers exactly") {
+      val built = Distributed.build(df, method, cfg, Runner.partitionsFor(method, spark))
+      try {
+        val nan = queries(1).clone()
+        nan(4) = Float.NaN
+        val inf = queries(1).clone()
+        inf(0) = Float.NegativeInfinity
+        TestUtil.assertRejected("query has 20 points", s"expected $len")(
+          Distributed.knnBatch(built, Array(queries(0), queries(1).take(20)), knobs))
+        TestUtil.assertRejected("query has NaN at point 4", s"expected $len finite points")(
+          Distributed.knnBatch(built, Array(queries(0), nan), knobs))
+        TestUtil.assertRejected("query has -Infinity at point 0", s"expected $len finite points")(
+          Distributed.knnBatch(built, Array(inf), knobs))
+        val (ids, data) = TestUtil.dataset(n, len, seed)
+        Distributed.knnBatch(built, queries, knobs).neighbors.zip(queries).foreach { case (res, q) =>
+          TestUtil.assertExact(ids, data, q, k, res, s"$method after a failed batch")
+        }
+      } finally built.unpersist()
+    }
+
+    test(s"$method build rejects a series of the wrong length") {
+      val rows = SeriesGen.dataset("walk", 40, len, seed).zipWithIndex.map { case (s, i) =>
+        (i.toLong, if (i == 17) s.take(len - 1) else s)
+      }
+      TestUtil.assertRejected("(id 17) has 23 points", s"expected $len")(
+        Distributed.build(seriesDF(rows), method, cfg, 2).unpersist())
+    }
+
+    test(s"$method build rejects a series with a NaN point") {
+      val rows = SeriesGen.dataset("walk", 40, len, seed).zipWithIndex.map { case (s, i) =>
+        if (i == 23) s(6) = Float.NaN
+        (i.toLong, s)
+      }
+      TestUtil.assertRejected("(id 23) has NaN at point 6", s"expected $len finite points")(
+        Distributed.build(seriesDF(rows), method, cfg, 2).unpersist())
+    }
   }
 
   test("ood queries against a larger k also match the oracle (hercules)") {
