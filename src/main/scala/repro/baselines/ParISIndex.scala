@@ -2,6 +2,7 @@ package repro.baselines
 
 import java.util.concurrent.atomic.AtomicInteger
 import scala.collection.mutable.ArrayBuffer
+import scala.jdk.CollectionConverters._
 import repro.core._
 
 /** ParIS+ baseline (§2): the iSAX-family multi-core index.
@@ -29,16 +30,6 @@ final class ParISIndex(
     val groups: Map[Int, Array[Int]],
 ) extends SeriesIndex(len, lrd, ids) {
 
-  private def keyOf(word: Array[Byte], off: Int): Int = {
-    var key = 0
-    var i = 0
-    while (i < isax.segments) {
-      key = (key << 1) | ((word(off + i) & 0x80) >>> 7)
-      i += 1
-    }
-    key
-  }
-
   def knn(q: Array[Float], knobs: QueryKnobs, stats: QueryStats): Array[Neighbor] =
     knn(q, knobs.k, knobs.threads, stats)
 
@@ -47,17 +38,14 @@ final class ParISIndex(
     checkQuery(q)
     val results = new KnnSet(k)
     val paaQ = isax.paa(q)
-    val qWord = new Array[Byte](isax.segments)
-    var i = 0
-    while (i < isax.segments) { qWord(i) = isax.symbolOf(paaQ(i)); i += 1 }
-    val qKey = keyOf(qWord, 0)
+    val qKey = ParISIndex.keyOf(isax.word(q))
 
     // Approximate answer from the query's root subtree (nearest non-empty
     // group by Hamming distance on the top bits when the exact one is empty).
     val group = groups.getOrElse(qKey,
       groups.minByOption { case (key, _) => Integer.bitCount(key ^ qKey) }.map(_._2).getOrElse(Array.empty[Int]))
     val cap = math.min(group.length, 4096)
-    i = 0
+    var i = 0
     while (i < cap) {
       val posI = group(i)
       results.add(Dist.ed2Flat(q, lrd, posI * len, results.bsf), ids(posI))
@@ -114,6 +102,17 @@ final class ParISIndex(
 
 object ParISIndex {
 
+  /** Root-subtree key of an iSAX word: the top bit of every symbol. */
+  private def keyOf(word: Array[Byte]): Int = {
+    var key = 0
+    var i = 0
+    while (i < word.length) {
+      key = (key << 1) | ((word(i) & 0x80) >>> 7)
+      i += 1
+    }
+    key
+  }
+
   /** Build: one pass computing iSAX words + top-bit root-subtree grouping. */
   def build(idsIn: Array[Long], data: Array[Array[Float]], cfg: IndexConfig): ParISIndex = {
     val lrd = SeriesIndex.pack(idsIn, data, cfg.seriesLength)
@@ -125,19 +124,10 @@ object ParISIndex {
     while (i < n) {
       val w = isax.word(data(i))
       System.arraycopy(w, 0, lsd, i * isax.segments, isax.segments)
-      var key = 0
-      var s = 0
-      while (s < isax.segments) { key = (key << 1) | ((w(s) & 0x80) >>> 7); s += 1 }
-      var buf = grouped.get(key)
-      if (buf == null) { buf = new ArrayBuffer[Int]; grouped.put(key, buf) }
-      buf += i
+      grouped.computeIfAbsent(keyOf(w), _ => new ArrayBuffer[Int]) += i
       i += 1
     }
-    val groups = {
-      val b = Map.newBuilder[Int, Array[Int]]
-      grouped.forEach((k, v) => b += (k -> v.toArray))
-      b.result()
-    }
+    val groups = grouped.asScala.iterator.map { case (k, v) => k -> v.toArray }.toMap
     new ParISIndex(cfg.seriesLength, lrd, idsIn.clone(), lsd, isax, groups)
   }
 }

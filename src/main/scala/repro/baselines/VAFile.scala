@@ -97,12 +97,7 @@ object VAFile {
   def build(idsIn: Array[Long], data: Array[Array[Float]], len: Int, dims: Int = 16): VAFile = {
     val lrd = SeriesIndex.pack(idsIn, data, len)
     val n = data.length
-    val feats = new Array[Double](n * dims)
-    var i = 0
-    while (i < n) {
-      System.arraycopy(transform(data(i), dims), 0, feats, i * dims, dims)
-      i += 1
-    }
+    val feats = data.flatMap(transform(_, dims))
     val cells = math.min(CellsPerDim, math.max(2, n))
     val boundaries = Array.tabulate(dims) { d =>
       val col = new Array[Double](n)
@@ -117,7 +112,7 @@ object VAFile {
       edges
     }
     val cellIdx = new Array[Byte](n * dims)
-    i = 0
+    var i = 0
     while (i < n) {
       var d = 0
       while (d < dims) {

@@ -60,12 +60,10 @@ object IndexWriter {
     Par.run(math.max(1, threads))(_ => processLeaves())
 
     // WriteIndexTree: fix subtree counts (post-order) and drop build state.
-    def finish(node: Node): Int =
-      if (node.isLeaf) { node.count }
-      else {
-        node.count = finish(node.left) + finish(node.right)
-        node.count
-      }
+    def finish(node: Node): Int = {
+      if (!node.isLeaf) node.count = finish(node.left) + finish(node.right)
+      node.count
+    }
     finish(tree.root)
 
     new HerculesIndex(cfg, tree.root, lrd, idsArr, lsd)
@@ -141,16 +139,28 @@ object IndexWriter {
   }
 }
 
-/** Tiny shared thread-pool helper for the paper's worker-pool patterns. */
+/** The one place the core starts and joins worker threads: a shared pool
+  * for the paper's worker-pool patterns.
+  */
 object Par {
   private lazy val pool = java.util.concurrent.Executors.newCachedThreadPool(
     (r: Runnable) => { val t = new Thread(r, "repro-par"); t.setDaemon(true); t })
 
-  /** Run `body(0…threads-1)` concurrently and wait; inline when threads==1. */
+  /** Run `body(0…threads-1)` concurrently and wait for every worker; inline
+    * when threads==1. If workers fail, rethrows the exception of the lowest
+    * failed worker, with the others' exceptions added as suppressed.
+    */
   def run(threads: Int)(body: Int => Unit): Unit =
     if (threads <= 1) body(0)
     else {
       val futs = (0 until threads).map(t => pool.submit(new Runnable { def run(): Unit = body(t) }))
-      futs.foreach(_.get())
+      val failures = futs.flatMap { f =>
+        try { f.get(); None }
+        catch { case e: java.util.concurrent.ExecutionException => Some(e.getCause) }
+      }
+      failures.headOption.foreach { first =>
+        failures.tail.foreach(first.addSuppressed)
+        throw first
+      }
     }
 }

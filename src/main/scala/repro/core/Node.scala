@@ -83,10 +83,7 @@ final class Node(val ends: Array[Int], val id: Int) extends Serializable {
     var i = 0
     while (i < segCount) {
       val (m, sd) = Stats.meanSd(s, segStart(i), ends(i))
-      if (m < muMin(i)) muMin(i) = m
-      if (m > muMax(i)) muMax(i) = m
-      if (sd < sdMin(i)) sdMin(i) = sd
-      if (sd > sdMax(i)) sdMax(i) = sd
+      updateSegment(i, m, sd)
       i += 1
     }
   }

@@ -65,12 +65,7 @@ final class SeriesStore(
     root.leavesInorder.foreach { leaf =>
       if (leaf.slots != null && leaf.slots.nonEmpty) {
         append(leaf, leaf.slots.length) { buf =>
-          leaf.slots.foreach { slot =>
-            buf.putLong(slotIds(slot))
-            val off = slot * seriesLen
-            var i = 0
-            while (i < seriesLen) { buf.putFloat(flat(off + i)); i += 1 }
-          }
+          leaf.slots.foreach(slot => putRecord(buf, slotIds(slot), flat, slot * seriesLen))
         }
         leaf.slots.clear()
       }
@@ -81,12 +76,15 @@ final class SeriesStore(
   /** Append `records` to the leaf's spill file, in order. */
   def appendSpill(leaf: Node, records: collection.Seq[(Long, Array[Float])]): Unit =
     append(leaf, records.length) { buf =>
-      records.foreach { case (id, s) =>
-        buf.putLong(id)
-        var i = 0
-        while (i < seriesLen) { buf.putFloat(s(i)); i += 1 }
-      }
+      records.foreach { case (id, s) => putRecord(buf, id, s, 0) }
     }
+
+  /** Put one spill record: the id, then `seriesLen` floats of `src` from `off`. */
+  private def putRecord(buf: ByteBuffer, id: Long, src: Array[Float], off: Int): Unit = {
+    buf.putLong(id)
+    var i = 0
+    while (i < seriesLen) { buf.putFloat(src(off + i)); i += 1 }
+  }
 
   private def append(leaf: Node, n: Int)(put: ByteBuffer => Unit): Unit = {
     val buf = ByteBuffer.allocate(n * recordBytes)

@@ -115,9 +115,7 @@ object Figures {
 
     def time(mode: BuildMode, c: IndexConfig, computeSax: Boolean): Double = {
       val t0 = System.nanoTime()
-      val (tree, store) = new ParallelBuilder(c, mode).build(ids, data)
-      IndexWriter.write(tree, store, computeSax = computeSax,
-        updateSynopses = mode == BuildMode.Hercules, threads = c.writerThreads)
+      HerculesIndex.build(ids, data, c, mode, computeSax)
       (System.nanoTime() - t0) / 1e9
     }
 

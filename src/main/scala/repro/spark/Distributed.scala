@@ -119,23 +119,38 @@ object Distributed {
     }.toSeq.toDF("qid", "sid", "dist")
   }
 
-  /** Persist each partition's index as one serialized file under `dir`. */
+  /** Persist each partition's index as one [[LocalIndex.save]] file under
+    * `dir`. A directory that already holds index files is refused, because
+    * [[loadFromDir]] would answer from the union of both saves.
+    */
   def saveToDir(built: BuiltIndex, dir: String): Unit = {
     Files.createDirectories(Paths.get(dir))
+    val existing = indexFiles(dir)
+    require(existing.isEmpty, s"$dir already holds index files: ${existing.mkString(", ")}")
     built.rdd.mapPartitionsWithIndex { (pid, it) =>
       it.foreach(_.save(Paths.get(s"$dir/part-$pid.idx")))
       Iterator.single(pid)
     }.count()
   }
 
-  /** Reload a saved per-partition index collection (one task per file). */
+  /** Reload a saved per-partition index collection (one task per file).
+    * Files whose headers disagree on index class or series length are
+    * refused with an `IOException`.
+    */
   def loadFromDir(spark: SparkSession, dir: String): BuiltIndex = {
-    val files = Files.list(Paths.get(dir)).toArray.map(_.toString).filter(_.endsWith(".idx")).sorted
+    val files = indexFiles(dir).map(f => s"$dir/$f")
     require(files.nonEmpty, s"no index files under $dir")
+    val kinds = files.groupBy { f => val h = LocalIndex.readHeader(Paths.get(f)); (h.indexClass, h.len) }
+    if (kinds.size > 1) throw new java.io.IOException(s"index files under $dir disagree: " + kinds.map {
+      case ((cls, len), fs) => s"$cls of length $len in ${fs.mkString(", ")}" }.mkString("; "))
     val rdd = spark.sparkContext
       .parallelize(files.toSeq, files.length)
       .map(f => LocalIndex.load(Paths.get(f)))
       .persist(StorageLevel.MEMORY_AND_DISK)
     summarize(rdd, 0.0, files.length)
   }
+
+  /** Names of the index files in `dir`, sorted. */
+  private def indexFiles(dir: String): Array[String] =
+    Option(new java.io.File(dir).list()).getOrElse(Array.empty[String]).filter(_.endsWith(".idx")).sorted
 }

@@ -14,10 +14,7 @@ object SeriesFrames {
   /** A deterministic dataset of `n` series of `kind`, as a DataFrame. */
   def dataset(spark: SparkSession, kind: String, n: Long, len: Int, seed: Long): DataFrame = {
     import spark.implicits._
-    val k = kind
-    val l = len
-    val s = seed
-    spark.range(n).map(id => (id, SeriesGen.seriesForId(k, id, l, s))).toDF("id", "series")
+    spark.range(n).map(id => (id, SeriesGen.seriesForId(kind, id, len, seed))).toDF("id", "series")
   }
 
   /** Long (exploded) view `(id, pos, val)` of a series DataFrame — the shape

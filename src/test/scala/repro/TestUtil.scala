@@ -59,6 +59,15 @@ object TestUtil {
     parts.foreach(p => assert(iae.get.getMessage.contains(p), s"'${iae.get.getMessage}' lacks '$p'"))
   }
 
+  /** Run `body` on its own thread and wait at most `seconds` for it, so a
+    * deadlocked build fails its test instead of stalling the suite. Rethrows
+    * what `body` throws.
+    */
+  def withinSeconds[T](seconds: Int)(body: => T): T = {
+    import scala.concurrent.{Await, ExecutionContext, Future}
+    Await.result(Future(body)(ExecutionContext.global), scala.concurrent.duration.Duration(seconds, "s"))
+  }
+
   /** Assert `actual` equals the brute-force exact k-NN for `q`. */
   def assertExact(ids: Array[Long], data: Array[Array[Float]], q: Array[Float], k: Int,
                   actual: Array[Neighbor], context: String = ""): Unit = {

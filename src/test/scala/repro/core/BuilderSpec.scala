@@ -8,9 +8,12 @@ import repro.TestUtil
   */
 class BuilderSpec extends AnyFunSuite {
 
+  /** Seconds a build may take, so a deadlocked worker protocol fails one test. */
+  private val BuildLimit = 30
+
   private def checkBuild(mode: BuildMode, cfg: IndexConfig, n: Int, seed: Long): Unit = {
     val (ids, data) = TestUtil.dataset(n, cfg.seriesLength, seed)
-    val idx = HerculesIndex.build(ids, data, cfg, mode)
+    val idx = TestUtil.withinSeconds(BuildLimit)(HerculesIndex.build(ids, data, cfg, mode))
     assert(idx.nSeries == n, s"indexed ${idx.nSeries} of $n")
     assert(idx.ids.sorted.toSeq == ids.sorted.toSeq, "id multiset changed")
     // exactness over a few queries
@@ -69,10 +72,9 @@ class BuilderSpec extends AnyFunSuite {
   test("parallel and sequential builds index the same id multiset") {
     val cfg = TestUtil.cfg(32, 16, 4)
     val (ids, data) = TestUtil.dataset(300, 32, 5)
-    val a = HerculesIndex.build(ids, data, cfg, BuildMode.Hercules)
+    val a = TestUtil.withinSeconds(BuildLimit)(HerculesIndex.build(ids, data, cfg, BuildMode.Hercules))
     val b = HerculesIndex.build(ids, data, cfg, BuildMode.Sequential)
     assert(a.ids.sorted.toSeq == b.ids.sorted.toSeq)
-    assert(a.nSeries == b.nSeries)
     assert(a.nSeries == b.nSeries)
   }
 }

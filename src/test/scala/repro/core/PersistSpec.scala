@@ -1,11 +1,14 @@
 package repro.core
 
+import java.io.IOException
 import java.nio.file.Files
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.spark.LocalIndex
 
-/** Index save/load: the on-disk round trip every saved partition goes through. */
+/** Index save/load: the on-disk round trip every saved partition goes
+  * through, and the framing that makes a damaged file fail loudly.
+  */
 class PersistSpec extends AnyFunSuite {
 
   /** Save `idx` as a partition file, load it back and return the reloaded tree. */
@@ -40,5 +43,46 @@ class PersistSpec extends AnyFunSuite {
     assert(r.leaves.map(_.leafSize).toSeq == idx.leaves.map(_.leafSize).toSeq)
     assert(r.ids.toSeq == idx.ids.toSeq)
     assert(r.lsd.toSeq == idx.lsd.toSeq)
+  }
+
+  /** Save a small index, damage the file with `damage`, and return what
+    * loading it throws; the message must name the file.
+    */
+  private def loadDamaged(damage: Array[Byte] => Array[Byte]): IOException = {
+    val (ids, data) = TestUtil.dataset(200, 32, 23)
+    val f = Files.createTempFile("hercules-idx", ".idx")
+    try {
+      LocalIndex(HerculesIndex.build(ids, data, TestUtil.cfg(32, 16)), 0.0).save(f)
+      Files.write(f, damage(Files.readAllBytes(f)))
+      val e = intercept[IOException](LocalIndex.load(f))
+      assert(e.getMessage.contains(f.toString), e.getMessage)
+      e
+    } finally Files.deleteIfExists(f)
+  }
+
+  test("the file header describes the saved index") {
+    val (ids, data) = TestUtil.dataset(50, 32, 24)
+    val f = Files.createTempFile("hercules-idx", ".idx")
+    try {
+      LocalIndex(HerculesIndex.build(ids, data, TestUtil.cfg(32, 16)), 0.0).save(f)
+      val h = LocalIndex.readHeader(f)
+      assert((h.indexClass, h.len, h.nSeries) == (classOf[HerculesIndex].getName, 32, 50))
+      assert(LocalIndex.load(f).index.nSeries == 50)
+    } finally Files.deleteIfExists(f)
+  }
+
+  test("a truncated index file fails loading loudly") {
+    val e = loadDamaged(b => b.take(b.length / 2))
+    assert(e.getMessage.contains("truncated"), e.getMessage)
+  }
+
+  test("a flipped payload byte fails loading loudly") {
+    val e = loadDamaged { b => b(b.length / 2) = (b(b.length / 2) ^ 0x10).toByte; b }
+    assert(e.getMessage.contains("checksum"), e.getMessage)
+  }
+
+  test("a file that is not an index fails loading loudly") {
+    val e = loadDamaged { b => b(0) = 0; b }
+    assert(e.getMessage.contains("not an index file"), e.getMessage)
   }
 }

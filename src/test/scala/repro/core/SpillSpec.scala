@@ -92,6 +92,14 @@ class SpillSpec extends AnyFunSuite {
     injectAfterFlush(delete)((tree, store) => IndexWriter.write(tree, store))
   }
 
+  test("a deleted spill file fails index writing loudly (3 threads)") {
+    injectAfterFlush(delete) { (tree, store) =>
+      val dir = tree.root.spillFile.getParent
+      try IndexWriter.write(tree, store, threads = 3)
+      finally assert(!Files.exists(dir), "the spill directory outlived the failed write")
+    }
+  }
+
   test("a truncated spill file fails index writing loudly") {
     injectAfterFlush(truncate)((tree, store) => IndexWriter.write(tree, store))
   }
@@ -116,7 +124,7 @@ class SpillSpec extends AnyFunSuite {
       val (bIds, bData) = TestUtil.dataset(200, 32, 5)
       bData(150) = new Array[Float](31) // fails the build when read, long after the first flush
       val e = intercept[IllegalArgumentException] {
-        new ParallelBuilder(cfg, BuildMode.Hercules).build(bIds, bData)
+        TestUtil.withinSeconds(30)(new ParallelBuilder(cfg, BuildMode.Hercules).build(bIds, bData))
       }
       assert(e.getMessage.contains("series 150 (id 150) has 31 points, expected 32"), e.getMessage)
       assert(spillDirs() == before)

@@ -106,6 +106,32 @@ class DistributedSpec extends SparkSpec {
     } finally built.unpersist()
   }
 
+  test("saveToDir refuses a directory that already holds index files") {
+    val dir = Files.createTempDirectory("hercules-dist").toString
+    val first = Distributed.build(df, "hercules", cfg, 3)
+    val second = Distributed.build(df, "hercules", cfg, 2)
+    try {
+      Distributed.saveToDir(first, dir)
+      val e = intercept[IllegalArgumentException](Distributed.saveToDir(second, dir))
+      assert(e.getMessage.contains(dir), e.getMessage)
+      assert(e.getMessage.contains("part-0.idx, part-1.idx, part-2.idx"), e.getMessage)
+      val loaded = Distributed.loadFromDir(spark, dir)
+      try assert(loaded.partitions == 3 && loaded.totalSeries == n)
+      finally loaded.unpersist()
+    } finally { first.unpersist(); second.unpersist() }
+  }
+
+  test("loadFromDir refuses a directory mixing index classes") {
+    val dir = Files.createTempDirectory("hercules-dist")
+    val (ids, data) = TestUtil.dataset(40, len, seed)
+    LocalIndex.build("hercules", ids, data, cfg).save(dir.resolve("part-0.idx"))
+    LocalIndex.build("pscan", ids, data, cfg).save(dir.resolve("part-1.idx"))
+    val e = intercept[java.io.IOException](Distributed.loadFromDir(spark, dir.toString))
+    Seq(dir.toString, "HerculesIndex", "Pscan", "part-0.idx", "part-1.idx").foreach { part =>
+      assert(e.getMessage.contains(part), e.getMessage)
+    }
+  }
+
   private def seriesDF(rows: Seq[(Long, Array[Float])]): DataFrame = {
     import spark.implicits._
     rows.toDF("id", "series")
